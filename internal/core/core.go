@@ -171,9 +171,9 @@ type HypercubeResult struct {
 }
 
 // RunHypercube runs one hypercube simulation through the unified scenario
-// API. Eligible workloads (the §3.4 slotted arrival model on FIFO arcs)
-// execute on the slot-stepped fast kernel; everything else runs on the
-// event-driven calendar. The two kernels produce byte-identical results on
+// API. FIFO runs, Poisson or slotted, execute on the slot-stepped fast
+// kernel; other disciplines and ForceEventDriven run on the event-driven
+// calendar. The two kernels produce byte-identical results on
 // the same seed.
 func RunHypercube(cfg HypercubeConfig) (*HypercubeResult, error) {
 	res, err := sim.Run(context.Background(), cfg.scenario())

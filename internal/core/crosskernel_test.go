@@ -263,7 +263,7 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 }
 
 // TestKernelSelection pins which configurations route to which kernel and
-// that both escape hatches work.
+// that the ForceEventDriven escape hatch works.
 func TestKernelSelection(t *testing.T) {
 	hyper := func(mod func(*HypercubeConfig)) HypercubeConfig {
 		cfg := HypercubeConfig{D: 3, P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
@@ -275,7 +275,9 @@ func TestKernelSelection(t *testing.T) {
 		cfg  HypercubeConfig
 		want string
 	}{
-		{"poisson arrivals stay event-driven", hyper(func(c *HypercubeConfig) {}), KernelEventDriven},
+		{"poisson FIFO uses the slot kernel", hyper(func(c *HypercubeConfig) {}), KernelSlotStepped},
+		{"poisson random-order falls back", hyper(func(c *HypercubeConfig) { c.Discipline = network.RandomOrder }), KernelEventDriven},
+		{"ForceEventDriven wins on poisson", hyper(func(c *HypercubeConfig) { c.ForceEventDriven = true }), KernelEventDriven},
 		{"slotted FIFO uses the slot kernel", hyper(func(c *HypercubeConfig) { c.Slotted = true; c.Tau = 0.5 }), KernelSlotStepped},
 		{"slotted random-order falls back", hyper(func(c *HypercubeConfig) {
 			c.Slotted = true
@@ -325,16 +327,5 @@ func TestKernelSelection(t *testing.T) {
 		if res.Kernel != tc.want {
 			t.Errorf("%s: kernel = %s, want %s", tc.name, res.Kernel, tc.want)
 		}
-	}
-
-	// The global test/benchmark escape hatch.
-	sim.DisableFastKernel = true
-	defer func() { sim.DisableFastKernel = false }()
-	res, err := RunButterfly(butter(func(c *ButterflyConfig) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != KernelEventDriven {
-		t.Errorf("DisableFastKernel ignored: kernel = %s", res.Kernel)
 	}
 }

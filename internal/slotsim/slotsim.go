@@ -1,11 +1,11 @@
 // Package slotsim is the synchronous fast-path kernel for unit-service FIFO
-// workloads: the slotted-time hypercube model of §3.4 and the butterfly
-// experiments. On these workloads every transmission takes exactly one time
-// unit, so the general event calendar of internal/des — heap pushes, handler
-// dispatch, cancellation slots — is pure overhead: the whole simulation
-// advances in lock-step, and the only event sources are the slot clock (or
-// the aggregate Poisson arrival stream) and a single monotone stream of
-// service completions.
+// workloads: every FIFO hypercube and butterfly run, under the paper's
+// Poisson arrivals and under the slotted-time model of §3.4 alike. On these
+// workloads every transmission takes exactly one time unit, so the general
+// event calendar of internal/des — heap pushes, handler dispatch,
+// cancellation slots — is pure overhead: the only event sources are the slot
+// clock (or the aggregate Poisson arrival stream), the outage boundaries and
+// a single monotone stream of service completions.
 //
 // # Memory layout: structure of arrays, sized for the million-node regime
 //
@@ -30,7 +30,13 @@
 //     step the unique path the same way; only randomized routers store routes
 //     (in a fixed-stride slab referenced by packet-held slots).
 //   - Service completions form a flat FIFO ring of three parallel arrays
-//     (due time, tie-break sequence, arc).
+//     (due time, tie-break sequence, arc). The sequence is written only in
+//     continuous mode, the one mode that reads it.
+//
+// Completions fire in runs: one call handles every completion that must fire
+// before the next arrival, slot tick or outage boundary, with the arc,
+// packet and ring arrays and the run-invariant switches held in locals, so a
+// hop costs no event dispatch and no per-push ring-capacity check.
 //
 // Slotted injection is batched: when Config.Batch is set, a whole slot's
 // origins and destinations are drawn in bulk (xrand.FillUint64-backed), so a
@@ -46,7 +52,7 @@
 // There is no handler indirection and no per-event allocation; once the pool,
 // rings and sample buffers have grown to their steady-state size, a whole
 // replication — per-replication setup included, since a pooled kernel
-// (internal/core reuses one per worker via sync.Pool) reseeds rather than
+// (sim reuses one per worker via sync.Pool) reseeds rather than
 // reconstructs — performs zero allocations. Only the Metrics snapshot handed
 // to the caller is freshly allocated, because the caller owns it.
 //
@@ -77,6 +83,7 @@ package slotsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/network"
@@ -86,8 +93,8 @@ import (
 )
 
 // Traffic samples a packet's destination and appends its arc-index route.
-// Implementations are provided by internal/core (hypercube routing schemes,
-// the unique butterfly path); they must consume rng (the aggregate source's
+// Implementations are provided by sim (hypercube routing schemes, the unique
+// butterfly path); they must consume rng (the aggregate source's
 // payload stream) and any private routing stream exactly as the event-driven
 // path does, because stream consumption order is part of the cross-kernel
 // contract.
@@ -331,6 +338,7 @@ type Kernel struct {
 	pEnqAt   []float64 // queue-join time, allocated only for per-hop waits
 	freeHead int32
 	poolBump int32
+	live     int // packets in flight (allocated pool slots)
 
 	// Stored-route slab: MaxHops ints per slot, with a slot free list.
 	paths    []int
@@ -503,6 +511,7 @@ func (k *Kernel) reset(cfg Config) {
 	// Packet pool: every slot is free again (bump allocation restarts).
 	k.freeHead = -1
 	k.poolBump = 0
+	k.live = 0
 	if k.hopWait {
 		k.pEnqAt = resize(k.pEnqAt, len(k.pGen))
 	}
@@ -737,8 +746,7 @@ func (k *Kernel) runSlotted() {
 		case evTrans:
 			k.fireTransition(next)
 		case evComp:
-			arc, t := k.popCompletion()
-			k.complete(arc, t)
+			k.runCompletions(next, 0)
 		default:
 			k.fireTick(tick)
 			tick += tau
@@ -800,8 +808,20 @@ func (k *Kernel) runContinuous() {
 		case evTrans:
 			k.fireTransition(next)
 		case evComp:
-			arc, t := k.popCompletion()
-			k.complete(arc, t)
+			// The run stops before the pending arrival, the next outage
+			// transition, past the horizon, and — before measurement
+			// starts — past the warm-up boundary.
+			limT, limSeq := horizon, uint64(math.MaxUint64)
+			if k.arrPending {
+				limT, limSeq = k.arrTime, k.arrSeq
+			}
+			if k.transNext < len(k.trans) && k.trans[k.transNext].at <= limT {
+				limT, limSeq = k.trans[k.transNext].at, 0
+			}
+			if !measuring && warmup < limT {
+				limT, limSeq = warmup, math.MaxUint64
+			}
+			k.runCompletions(limT, limSeq)
 		default:
 			t := k.arrTime
 			k.arrPending = false
@@ -943,7 +963,8 @@ func (k *Kernel) nextArc(s int32) int {
 // enqueue places pool slot s at its current arc; it mirrors System.enqueue.
 // An idle arc outside any outage window starts service immediately; otherwise
 // s joins the arc's intrusive FIFO list — unless a finite buffer is full, in
-// which case the packet is dropped before any statistic is touched.
+// which case the packet is dropped before any statistic is touched. It serves
+// injections; runCompletions repeats the same steps for a packet's later hops.
 func (k *Kernel) enqueue(s int32, now float64) {
 	idx := k.nextArc(s)
 	if k.aSvc[idx] != 0 || (k.downWords != nil && k.arcDown(idx)) {
@@ -981,53 +1002,161 @@ func (k *Kernel) enqueue(s int32, now float64) {
 func (k *Kernel) startService(idx int, s int32, now float64) {
 	k.aSvc[idx] = s + 1
 	k.aBusySince[idx] = now
-	k.pushCompletion(now+1, k.nextSeq(), int32(idx))
+	k.pushCompletion(now+1, int32(idx))
 }
 
-// complete finishes the transmission on arc idx; it mirrors
-// System.completeService (FIFO discipline).
-func (k *Kernel) complete(idx int, now float64) {
-	s := k.aSvc[idx] - 1
-	if s < 0 {
-		panic(fmt.Sprintf("slotsim: completion on idle arc %d", idx))
+// runCompletions fires the maximal run of ring completions that precede the
+// next non-completion event, handling each one exactly as the event-driven
+// System.completeService (FIFO) and System.enqueue would, in ring order. An
+// entry fires while its time is below limT, or equal to it with (continuous
+// mode only) a sequence number below limSeq: the caller passes the current
+// instant in slotted mode, and in continuous mode the smallest (time, seq)
+// key among the pending arrival, the next outage transition (seq 0, so it
+// precedes every completion at its instant), the horizon and — before
+// measurement starts — the warm-up boundary (both seq max, so they include
+// their instant).
+//
+// A call fires at most the entries queued on entry. Each completion adds at
+// most one net ring entry (it may restart its arc and start the packet's next
+// hop), and the ring never holds more entries than packets in flight (one per
+// packet in service), a count no completion raises; so growing the ring once
+// up front to the smaller of the two bounds keeps every push inside the loop
+// check-free. Everything the loop touches is held in locals; the packet pool,
+// route slab and ring cannot grow while it runs, because only injections
+// allocate packets and routes.
+func (k *Kernel) runCompletions(limT float64, limSeq uint64) {
+	n := k.compLen
+	if min(2*n, k.live) > len(k.compTime) {
+		k.growComp()
 	}
-	k.aSvc[idx] = 0
-	k.aBusyTime[idx] += now - k.aBusySince[idx]
-	if k.haveGroups {
-		g := k.aGroup[idx]
-		if k.trackGrp {
-			k.col.GroupPopulationAdd(g, now, -1)
-		}
-		if k.hopWait {
-			k.col.ArcWait(g, now, k.pEnqAt[s], k.pGen[s])
-		}
-	}
+	cont := !k.cfg.Slotted
+	compTime, compSeq, compArc := k.compTime, k.compSeq, k.compArc
+	ringMask := len(compTime) - 1
+	head, clen, seq := k.compHead, k.compLen, k.seq
+	aSvc, aHead, aTail, aQLen := k.aSvc, k.aHead, k.aTail, k.aQLen
+	aArrivals, aBusySince, aBusyTime, aGroup := k.aArrivals, k.aBusySince, k.aBusyTime, k.aGroup
+	pGen, pAux, pNext, pEnqAt := k.pGen, k.pAux, k.pNext, k.pEnqAt
+	failProb, faultRNG := k.failProb, k.faultRNG
+	down, bufCap := k.downWords != nil, k.bufCap
+	haveGroups, trackGrp, hopWait := k.haveGroups, k.trackGrp, k.hopWait
+	col := &k.col
 
-	// Start the next queued packet on this arc (never inside an outage
-	// window: the outage-end transition restarts the arc).
-	if k.aHead[idx] != 0 && (k.downWords == nil || !k.arcDown(idx)) {
-		k.startService(idx, k.popHead(idx), now)
-	}
-
-	// Transient fault: one dedicated-stream draw per completed transmission
-	// decides whether this transmission failed, dropping the packet.
-	if k.failProb > 0 && k.faultRNG.Float64() < k.failProb {
-		k.dropPkt(s, now, false)
-		return
-	}
-
-	aux := k.pAux[s] + 1<<16 // hop++
-	if uint16(aux>>16) >= uint16(aux) {
-		k.packetLeft(now)
-		k.col.Deliver(now, k.pGen[s], int(uint16(aux)), 0)
-		if slot := uint32(aux >> 32); slot != noSlot {
-			k.pathFree = append(k.pathFree, int32(slot))
+	for ; n > 0; n-- {
+		now := compTime[head]
+		if now > limT || (cont && now == limT && compSeq[head] >= limSeq) {
+			break
 		}
-		k.freePkt(s)
-		return
+		idx := int(compArc[head])
+		head = (head + 1) & ringMask
+		clen--
+
+		// Finish the transmission on arc idx.
+		s := aSvc[idx] - 1
+		if s < 0 {
+			panic(fmt.Sprintf("slotsim: completion on idle arc %d", idx))
+		}
+		aSvc[idx] = 0
+		aBusyTime[idx] += now - aBusySince[idx]
+		if haveGroups {
+			g := aGroup[idx]
+			if trackGrp {
+				col.GroupPopulationAdd(g, now, -1)
+			}
+			if hopWait {
+				col.ArcWait(g, now, pEnqAt[s], pGen[s])
+			}
+		}
+
+		// Start the next queued packet on this arc (never inside an outage
+		// window: the outage-end transition restarts the arc).
+		if h := aHead[idx]; h != 0 && (!down || !k.arcDown(idx)) {
+			nh := pNext[h-1] + 1
+			aHead[idx] = nh
+			if nh == 0 {
+				aTail[idx] = 0
+			}
+			if bufCap > 0 {
+				aQLen[idx]--
+			}
+			aSvc[idx] = h
+			aBusySince[idx] = now
+			pos := (head + clen) & ringMask
+			compTime[pos] = now + 1
+			compArc[pos] = int32(idx)
+			if cont {
+				compSeq[pos] = seq
+				seq++
+			}
+			clen++
+		}
+
+		// Transient fault: one dedicated-stream draw per completed
+		// transmission decides whether this transmission failed, dropping
+		// the packet.
+		if failProb > 0 && faultRNG.Float64() < failProb {
+			k.dropPkt(s, now, false)
+			continue
+		}
+		aux := pAux[s] + 1<<16 // hop++
+		if uint16(aux>>16) >= uint16(aux) {
+			k.packetLeft(now)
+			col.Deliver(now, pGen[s], int(uint16(aux)), 0)
+			if slot := uint32(aux >> 32); slot != noSlot {
+				k.pathFree = append(k.pathFree, int32(slot))
+			}
+			k.freePkt(s)
+			continue
+		}
+		pAux[s] = aux
+
+		// Move the packet to its next arc exactly as enqueue does for an
+		// injection (System.enqueue): an idle arc outside any outage window
+		// starts it at once; otherwise it joins the arc's FIFO list, unless
+		// a finite buffer is full. It is written out here rather than shared
+		// with enqueue so the arc arrays and the ring stay in locals; a
+		// shared helper cost 4–8% per hop on the slotted and butterfly
+		// benchmarks.
+		next := k.nextArc(s)
+		if aSvc[next] != 0 || (down && k.arcDown(next)) {
+			if bufCap > 0 && int(aQLen[next]) >= bufCap {
+				k.dropPkt(s, now, true)
+				continue
+			}
+			aArrivals[next]++
+			if hopWait {
+				pEnqAt[s] = now
+			}
+			pNext[s] = -1
+			if t := aTail[next]; t != 0 {
+				pNext[t-1] = s
+			} else {
+				aHead[next] = s + 1
+			}
+			aTail[next] = s + 1
+			if bufCap > 0 {
+				aQLen[next]++
+			}
+		} else {
+			aArrivals[next]++
+			if hopWait {
+				pEnqAt[s] = now
+			}
+			aSvc[next] = s + 1
+			aBusySince[next] = now
+			pos := (head + clen) & ringMask
+			compTime[pos] = now + 1
+			compArc[pos] = int32(next)
+			if cont {
+				compSeq[pos] = seq
+				seq++
+			}
+			clen++
+		}
+		if trackGrp {
+			col.GroupPopulationAdd(aGroup[next], now, +1)
+		}
 	}
-	k.pAux[s] = aux
-	k.enqueue(s, now)
+	k.compHead, k.compLen, k.seq = head, clen, seq
 }
 
 // startMeasurement discards the warm-up transient at the given instant.
@@ -1077,6 +1206,7 @@ func (k *Kernel) snapshot() network.Metrics {
 // allocPkt takes a pool slot: from the free list when one exists, otherwise
 // by bumping into (and if needed growing) the slab.
 func (k *Kernel) allocPkt() int32 {
+	k.live++
 	if s := k.freeHead; s >= 0 {
 		k.freeHead = k.pNext[s]
 		return s
@@ -1091,6 +1221,7 @@ func (k *Kernel) allocPkt() int32 {
 
 // freePkt returns a delivered packet's pool slot to the free list.
 func (k *Kernel) freePkt(s int32) {
+	k.live--
 	k.pNext[s] = k.freeHead
 	k.freeHead = s
 }
@@ -1179,25 +1310,19 @@ func (k *Kernel) flushPop(at float64) {
 }
 
 // pushCompletion appends to the completion ring, growing (power-of-two
-// capacity) when full.
-func (k *Kernel) pushCompletion(t float64, seq uint64, arc int32) {
+// capacity) when full. The tie-break sequence number is drawn and stored only
+// in continuous mode, the one mode that reads it.
+func (k *Kernel) pushCompletion(t float64, arc int32) {
 	if k.compLen == len(k.compTime) {
 		k.growComp()
 	}
 	pos := (k.compHead + k.compLen) & (len(k.compTime) - 1)
 	k.compTime[pos] = t
-	k.compSeq[pos] = seq
 	k.compArc[pos] = arc
+	if !k.cfg.Slotted {
+		k.compSeq[pos] = k.nextSeq()
+	}
 	k.compLen++
-}
-
-// popCompletion removes the head completion; the caller has checked compLen.
-func (k *Kernel) popCompletion() (arc int, t float64) {
-	h := k.compHead
-	arc, t = int(k.compArc[h]), k.compTime[h]
-	k.compHead = (h + 1) & (len(k.compTime) - 1)
-	k.compLen--
-	return arc, t
 }
 
 func (k *Kernel) growComp() {

@@ -101,7 +101,24 @@ func TestKernelReusedAcrossConfigs(t *testing.T) {
 // slices and class map, so they cannot be pooled), and that cost is pinned to
 // a small constant independent of horizon and traffic volume.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	for name, cfg := range map[string]Config{"slotted": slottedConfig(), "continuous": continuousConfig()} {
+	// The Poisson hypercube's configuration: greedy routes stepped
+	// arithmetically, continuous arrivals, per-dimension groups.
+	const d = 6
+	poissonGreedy := Config{
+		NumArcs:   d << d,
+		NumGroups: d,
+		GroupOf:   func(a int) int { return a >> d },
+		Sources:   1 << d,
+		Horizon:   200,
+		Warmup:    40,
+		Seed:      7,
+		Lambda:    1.2,
+		Mode:      RouteHypercubeGreedy,
+		Dest:      uniformDest{mask: 1<<d - 1},
+	}
+	for name, cfg := range map[string]Config{
+		"slotted": slottedConfig(), "continuous": continuousConfig(), "continuous greedy": poissonGreedy,
+	} {
 		cfg := cfg
 		k := &Kernel{}
 		k.Run(cfg)

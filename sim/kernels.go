@@ -27,25 +27,21 @@ const (
 	KernelDeflection = "deflection-slotted"
 )
 
-// DisableFastKernel forces every run onto the event-driven calendar
-// regardless of eligibility. It exists for the cross-kernel golden tests and
-// for benchmarking the event-driven path; set it only from a single
-// goroutine while no simulations are running.
-var DisableFastKernel bool
-
-// slotKernelEligible reports whether the run can use the slot-stepped kernel:
-// the §3.4 slotted arrival model with unit service and FIFO arcs is exactly
-// the synchronous workload slotsim models.
-func (c *hypercubeConfig) slotKernelEligible() bool {
-	return c.Slotted && c.Discipline == network.FIFO &&
-		!c.ForceEventDriven && !DisableFastKernel
-}
-
-// slotKernelEligible reports whether the butterfly run can use the fast
-// kernel: every butterfly experiment is a unit-service FIFO workload, so only
-// the discipline and the escape hatches matter.
-func (c *butterflyConfig) slotKernelEligible() bool {
-	return c.Discipline == network.FIFO && !c.ForceEventDriven && !DisableFastKernel
+// kernelFor names the kernel a normalized scenario runs on; it is the one
+// place the choice is made. Every hypercube and butterfly arc serves one
+// packet per unit time, in the Poisson model as much as in the §3.4 slotted
+// one, so with FIFO arcs the service completions form the single monotone
+// stream the slot-stepped kernel replays; only another discipline or the
+// ForceEventDriven escape hatch sends a run to the event calendar.
+func kernelFor(n normalized) string {
+	switch {
+	case n.dc != nil:
+		return KernelDeflection
+	case n.hc != nil && n.hc.Discipline == network.FIFO && !n.hc.ForceEventDriven,
+		n.bc != nil && n.bc.Discipline == network.FIFO && !n.bc.ForceEventDriven:
+		return KernelSlotStepped
+	}
+	return KernelEventDriven
 }
 
 // packetSink receives one generated packet; rng is the generating source's
@@ -363,17 +359,19 @@ func (r *hyperRunner) runSlotStepped(cfg *hypercubeConfig) runOutcome {
 	r.slotCfg.Warmup = cfg.WarmupFraction * cfg.Horizon
 	r.slotCfg.Seed = cfg.Seed
 	r.slotCfg.Lambda = cfg.Lambda
-	r.slotCfg.Slotted = true
+	r.slotCfg.Slotted = cfg.Slotted
 	r.slotCfg.Tau = cfg.Tau
 	// The canonical dimension-order path is a pure function of
 	// (origin, dest), so the kernel steps it arithmetically; randomized
 	// routers need materialized routes.
+	r.slotCfg.Batch = nil
 	if cfg.Router == GreedyDimensionOrder {
 		r.slotCfg.Mode = slotsim.RouteHypercubeGreedy
-		r.slotCfg.Batch = r // bulk slot injection (stepped greedy only)
+		if cfg.Slotted {
+			r.slotCfg.Batch = r // bulk slot injection (stepped greedy only)
+		}
 	} else {
 		r.slotCfg.Mode = slotsim.RouteStored
-		r.slotCfg.Batch = nil
 	}
 	r.slotCfg.Traffic = r
 	r.slotCfg.Dest = r

@@ -258,7 +258,7 @@ type Result struct {
 	// butterfly.
 	LoadFactor float64 `json:"load_factor"`
 	// Kernel names the simulation kernel the run executed on
-	// (KernelEventDriven or KernelSlotStepped).
+	// (KernelSlotStepped, KernelEventDriven or KernelDeflection).
 	Kernel string `json:"kernel"`
 
 	// Metrics is the raw measurement snapshot from the simulator.
@@ -529,9 +529,9 @@ var runTestHook func(Scenario)
 // independent replications on the sharded parallel engine with
 // deterministically split seeds.
 //
-// Eligible workloads (the §3.4 slotted arrival model and every FIFO
-// butterfly) execute on the slot-stepped fast kernel; everything else runs
-// on the event-driven calendar. The two kernels produce byte-identical
+// FIFO hypercubes and butterflies execute on the slot-stepped fast kernel,
+// in both arrival models; a non-FIFO discipline or ForceEventDriven runs on
+// the event-driven calendar. The two kernels produce byte-identical
 // results on the same seed, and simulation state is pooled per worker, so
 // repeated runs perform no setup allocations in steady state.
 //
@@ -588,9 +588,8 @@ func runHypercubeOnce(cfg *hypercubeConfig) *Result {
 	r := hyperRunners.Get().(*hyperRunner)
 	defer hyperRunners.Put(r)
 	var out runOutcome
-	kernel := KernelEventDriven
-	if cfg.slotKernelEligible() {
-		kernel = KernelSlotStepped
+	kernel := kernelFor(normalized{hc: cfg})
+	if kernel == KernelSlotStepped {
 		out = r.runSlotStepped(cfg)
 	} else {
 		out = r.runEventDriven(cfg)
@@ -680,9 +679,8 @@ func runButterflyOnce(cfg *butterflyConfig) *Result {
 	r := butterflyRunners.Get().(*butterflyRunner)
 	defer butterflyRunners.Put(r)
 	var out runOutcome
-	kernel := KernelEventDriven
-	if cfg.slotKernelEligible() {
-		kernel = KernelSlotStepped
+	kernel := kernelFor(normalized{bc: cfg})
+	if kernel == KernelSlotStepped {
 		out = r.runSlotStepped(cfg)
 	} else {
 		out = r.runEventDriven(cfg)
@@ -805,7 +803,7 @@ func deflectionAnalyticResult(cfg *deflectionConfig) *Result {
 		Topology:   Hypercube(cfg.D),
 		Lambda:     cfg.Lambda,
 		LoadFactor: cfg.Lambda * cfg.P,
-		Kernel:     KernelDeflection,
+		Kernel:     kernelFor(normalized{dc: cfg}),
 		DelayP95:   math.NaN(),
 		DelayP99:   math.NaN(),
 		Deflection: d,
@@ -933,30 +931,22 @@ func analyticResult(sc *Scenario, n normalized) *Result {
 		}
 		b.UniversalLowerBound = boundOrNaN(b.Params.UniversalLowerBound)
 		b.GreedyUpperBound = boundOrNaN(b.Params.GreedyUpperBound)
-		kernel := KernelEventDriven
-		if bc.slotKernelEligible() {
-			kernel = KernelSlotStepped
-		}
 		return &Result{
 			Topology:   Butterfly(bc.D),
 			Lambda:     bc.Lambda,
 			LoadFactor: bc.Lambda * math.Max(bc.P, 1-bc.P),
-			Kernel:     kernel,
+			Kernel:     kernelFor(n),
 			Butterfly:  b,
 		}
 	}
 	h := &HypercubeStats{
 		Params: HypercubeParams{D: hc.D, Lambda: hc.Lambda, P: hc.P},
 	}
-	kernel := KernelEventDriven
-	if hc.slotKernelEligible() {
-		kernel = KernelSlotStepped
-	}
 	res := &Result{
 		Topology:   Hypercube(hc.D),
 		Lambda:     hc.Lambda,
 		LoadFactor: hc.Lambda * hc.P,
-		Kernel:     kernel,
+		Kernel:     kernelFor(n),
 		Hypercube:  h,
 	}
 	h.PerDimensionLoadFactor = make([]float64, hc.D)

@@ -92,9 +92,10 @@ func TestScenarioValidationErrors(t *testing.T) {
 			s.TrackPerDimensionWait = true
 		}, "hypercube feature"},
 		{"negative max bytes", func(s *Scenario) { s.MaxBytes = -1 }, "negative max_bytes"},
-		{"max bytes on a continuous hypercube", func(s *Scenario) {
+		{"max bytes on a random-order hypercube", func(s *Scenario) {
+			s.Discipline = RandomOrder
 			s.MaxBytes = 1 << 30
-		}, "must be slotted"},
+		}, "requires the FIFO discipline"},
 		{"max bytes with the event-driven kernel forced", func(s *Scenario) {
 			s.Slotted = true
 			s.Tau = 1
@@ -160,6 +161,7 @@ func TestScenarioValidationAccepts(t *testing.T) {
 			s.Tau = 1
 			s.MaxBytes = 1 << 30
 		}},
+		{"poisson hypercube within max bytes", func(s *Scenario) { s.MaxBytes = 1 << 30 }},
 		{"butterfly within max bytes", func(s *Scenario) {
 			*s = Scenario{Topology: Butterfly(5), P: 0.3, LoadFactor: 0.8, Horizon: 50, MaxBytes: 1 << 30}
 		}},

@@ -13,13 +13,14 @@
 // documented in docs/SPEC.md).
 //
 // Normalization also selects the simulation kernel from the scenario's
-// shape: slotted hypercube scenarios and FIFO butterflies run on the
-// synchronous slot-stepped fast path (internal/slotsim, byte-identical to
-// the event calendar on the same seed), deflection scenarios (Router ==
-// Deflection, the hot-potato related-work baseline) run on their own
-// slotted bufferless kernel (internal/deflection), and everything else runs
-// on the general event-driven calendar (internal/des + internal/network).
-// Result.Kernel reports the choice.
+// shape: every FIFO hypercube, Poisson or slotted, and every FIFO butterfly
+// runs on the synchronous slot-stepped fast path (internal/slotsim,
+// byte-identical to the event calendar on the same seed); deflection
+// scenarios (Router == Deflection, the hot-potato related-work baseline) run
+// on their own slotted bufferless kernel (internal/deflection); and the rest
+// — a non-FIFO discipline, or ForceEventDriven — runs on the general
+// event-driven calendar (internal/des + internal/network). Result.Kernel
+// reports the choice.
 //
 // Replication is first-class: setting Scenario.Replications runs the
 // scenario N times on the sharded parallel engine (internal/engine) with
@@ -348,9 +349,9 @@ type Scenario struct {
 	// budget whenever its dynamic pools grow mid-run, so a run whose
 	// in-flight population outgrows the budget fails loudly instead of being
 	// OOM-killed. It requires a scenario the fast kernel will actually
-	// execute (slotted hypercube or FIFO butterfly, without
-	// force_event_driven): the million-node runs it exists for are exactly
-	// the fast-kernel workloads.
+	// execute (a FIFO hypercube or butterfly, without force_event_driven):
+	// the million-node runs it exists for are exactly the fast-kernel
+	// workloads.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
 
 	// Parallelism bounds the number of concurrently executing replication

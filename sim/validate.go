@@ -418,10 +418,7 @@ func (s *Scenario) normalize() (normalized, error) {
 		}
 	}
 	if s.MaxBytes > 0 {
-		switch {
-		case !s.Slotted:
-			return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; the hypercube scenario must be slotted (§3.4)")
-		case s.ForceEventDriven || s.Discipline != FIFO:
+		if s.ForceEventDriven || s.Discipline != FIFO {
 			return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; it requires the FIFO discipline without force_event_driven")
 		}
 		if est := slotEstimateHypercube(s.Topology.D, s.SkipPerDimensionStats, s.TrackPerDimensionWait); est > s.MaxBytes {
@@ -458,8 +455,8 @@ func (s *Scenario) normalize() (normalized, error) {
 }
 
 // slotEstimateHypercube prices the slotsim configuration runSlotStepped
-// builds for a slotted hypercube run: d·2^d arcs plus the kernel's initial
-// dynamic capacities. Kept next to the validation that quotes it; the
+// builds for a FIFO hypercube run, slotted or Poisson: d·2^d arcs plus the
+// kernel's initial dynamic capacities. Kept next to the validation that quotes it; the
 // runner-side config construction lives in kernels.go.
 func slotEstimateHypercube(d int, skipPerDim, trackPerDimWait bool) int64 {
 	return slotsim.EstimateBytes(slotsim.Config{
